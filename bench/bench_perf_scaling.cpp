@@ -7,12 +7,12 @@
 // complexity analysis: list scheduling is O(n^2); balanced weighting is
 // O(n^2 a(n)) with the union-find trick — "nearly as efficient". We sweep
 // block sizes and report per-size timings for the DAG builder, both
-// weighters (optimized scratch kernel and the retained allocating
-// reference) and the list scheduler, then emit BENCH_perf_scaling.json
-// with the before/after ns-per-instruction table, the pipeline's
-// weighter_* scratch-reuse counters, and block-parallel weighting wall
-// times. `--smoke` runs a one-iteration sweep with no artifact (the ctest
-// perf-smoke gate).
+// weighters (optimized scratch kernel and the allocating reference oracle
+// of tests/WeightsOracle.h) and the list scheduler, then emit
+// BENCH_perf_scaling.json with the before/after ns-per-instruction table,
+// the pipeline's weighter_* scratch-reuse counters, and block-parallel
+// weighting wall times. `--smoke` runs a one-iteration sweep with no
+// artifact (the ctest perf-smoke gate).
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,7 @@
 #include "sched/WeighterScratch.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
+#include "tests/WeightsOracle.h"
 
 #include <benchmark/benchmark.h>
 
@@ -121,9 +122,9 @@ void BM_BalancedWeightsUnionFind(benchmark::State &State) {
 void BM_BalancedWeightsExactReference(benchmark::State &State) {
   BasicBlock BB = makeBlock(static_cast<unsigned>(State.range(0)));
   DepDag Dag = buildDag(BB);
-  BalancedWeighter W(LatencyModel(), ChancesMethod::ExactLongestPath);
   for (auto _ : State) {
-    W.assignWeightsReference(Dag);
+    assignReferenceWeights(Dag, LatencyModel(),
+                           ChancesMethod::ExactLongestPath, 1.0, true);
     benchmark::DoNotOptimize(Dag.weight(0));
   }
   State.SetComplexityN(State.range(0));
@@ -132,9 +133,9 @@ void BM_BalancedWeightsExactReference(benchmark::State &State) {
 void BM_BalancedWeightsUnionFindReference(benchmark::State &State) {
   BasicBlock BB = makeBlock(static_cast<unsigned>(State.range(0)));
   DepDag Dag = buildDag(BB);
-  BalancedWeighter W(LatencyModel(), ChancesMethod::UnionFindLevels);
   for (auto _ : State) {
-    W.assignWeightsReference(Dag);
+    assignReferenceWeights(Dag, LatencyModel(),
+                           ChancesMethod::UnionFindLevels, 1.0, true);
     benchmark::DoNotOptimize(Dag.weight(0));
   }
   State.SetComplexityN(State.range(0));
@@ -213,7 +214,9 @@ std::vector<SweepRow> runWeighterSweep(const std::vector<unsigned> &Sizes,
       WeighterScratch Scratch;
       W.assignWeights(Dag, Scratch); // Warm the scratch once.
       double OptNs = timeNs(Iters, [&] { W.assignWeights(Dag, Scratch); });
-      double RefNs = timeNs(Iters, [&] { W.assignWeightsReference(Dag); });
+      double RefNs = timeNs(Iters, [&] {
+        assignReferenceWeights(Dag, LatencyModel(), M.Method, 1.0, true);
+      });
       Rows.push_back({Size, M.Name, RefNs / Size, OptNs / Size});
       std::printf("[sweep] n=%-4u %-10s reference %9.1f ns/instr, "
                   "optimized %8.1f ns/instr, speedup %.2fx\n",

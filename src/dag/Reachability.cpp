@@ -12,66 +12,16 @@
 
 using namespace bsched;
 
-const char *bsched::closureModeName(ClosureMode Mode) {
-  switch (Mode) {
-  case ClosureMode::Auto:
-    return "auto";
-  case ClosureMode::Materialized:
-    return "materialized";
-  case ClosureMode::Blocked:
-    return "blocked";
-  case ClosureMode::OnDemand:
-    return "on-demand";
-  }
-  return "unknown";
-}
-
-bool bsched::parseClosureModeName(std::string_view Name, ClosureMode &Mode) {
-  if (Name == "auto")
-    Mode = ClosureMode::Auto;
-  else if (Name == "materialized")
-    Mode = ClosureMode::Materialized;
-  else if (Name == "blocked")
-    Mode = ClosureMode::Blocked;
-  else if (Name == "on-demand")
-    Mode = ClosureMode::OnDemand;
-  else
-    return false;
-  return true;
-}
-
-namespace {
-
-/// Auto picks the blocked matrix kernel once the two matrices outgrow
-/// per-core cache; below that the row kernel's lower bookkeeping wins.
-constexpr unsigned BlockedKernelThreshold = 1024;
-
-} // namespace
-
-void TransitiveClosure::compute(const DepDag &Dag, bool StorePreds,
-                                ClosureKernel Kernel) {
+void TransitiveClosure::compute(const DepDag &Dag, bool StorePreds) {
   N = Dag.size();
   WordsPerRow = (N + 63) / 64;
   HavePreds = StorePreds;
   SuccWords.assign(size_t(N) * WordsPerRow, 0);
   PredWords.assign(HavePreds ? size_t(N) * WordsPerRow : 0, 0);
 
-  if (Kernel == ClosureKernel::Auto)
-    Kernel = N >= BlockedKernelThreshold ? ClosureKernel::Blocked
-                                         : ClosureKernel::Rows;
-  if (Kernel == ClosureKernel::Blocked)
-    computeBlocked(Dag);
-  else
-    computeRows(Dag);
-}
-
-/// The legacy kernel: whole-row ORs. Each edge pulls its endpoint's full
-/// row — ideal while rows (and the recently-touched row window) sit in
-/// cache, quadratically painful once the matrices spill.
-void TransitiveClosure::computeRows(const DepDag &Dag) {
   // Edges always point from lower to higher node index (program order is a
   // topological order), so one reverse sweep computes Succ* and one forward
-  // sweep computes Pred*.
+  // sweep computes Pred*, each edge ORing in its endpoint's whole row.
   for (unsigned I = N; I-- > 0;) {
     uint64_t *Row = SuccWords.data() + size_t(I) * WordsPerRow;
     for (const DepEdge &E : Dag.succs(I)) {
@@ -91,50 +41,6 @@ void TransitiveClosure::computeRows(const DepDag &Dag) {
       for (unsigned W = 0; W != WordsPerRow; ++W)
         Row[W] |= Other[W];
     }
-  }
-}
-
-/// The cache-blocked kernel: the same matrices, one 64-bit column block at
-/// a time. Within a block, node I's 64 closure bits live in Column[I] — a
-/// dense N-word buffer — so the per-edge random read (the sweep's hot
-/// access) always hits it instead of wandering an N^2/8-byte matrix. The
-/// finished column is scattered to its strided matrix slots in one
-/// streaming pass. Identical bits to the row kernel: per block this is
-/// the same recurrence restricted to 64 target columns.
-void TransitiveClosure::computeBlocked(const DepDag &Dag) {
-  Column.resize(N);
-  for (unsigned B = 0; B != WordsPerRow; ++B) {
-    const unsigned Base = B * 64;
-    // Succ*: reverse sweep. Column[I] = bits of {block-members directly
-    // succeeding I} | union of successors' columns.
-    for (unsigned I = N; I-- > 0;) {
-      uint64_t W = 0;
-      for (const DepEdge &E : Dag.succs(I)) {
-        unsigned Rel = E.Other - Base; // Wraps >= 64 when E.Other < Base.
-        if (Rel < 64)
-          W |= uint64_t(1) << Rel;
-        W |= Column[E.Other];
-      }
-      Column[I] = W;
-    }
-    for (unsigned I = 0; I != N; ++I)
-      SuccWords[size_t(I) * WordsPerRow + B] = Column[I];
-
-    if (!HavePreds)
-      continue;
-    // Pred*: forward sweep, mirrored.
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t W = 0;
-      for (const DepEdge &E : Dag.preds(I)) {
-        unsigned Rel = E.Other - Base;
-        if (Rel < 64)
-          W |= uint64_t(1) << Rel;
-        W |= Column[E.Other];
-      }
-      Column[I] = W;
-    }
-    for (unsigned I = 0; I != N; ++I)
-      PredWords[size_t(I) * WordsPerRow + B] = Column[I];
   }
 }
 

@@ -11,20 +11,16 @@
 /// (section 3, step 3: G_ind = G - (Pred(i) u Succ(i))); computing all rows
 /// once as bit vectors makes that subtraction a few word operations.
 ///
-/// Three kernels serve that need (DESIGN.md §3m):
+/// Two forms serve that need (DESIGN.md §3m):
 ///
-///  - the *row* kernel: one reverse sweep ORing whole successor rows —
-///    best while both matrices fit in cache;
-///  - the *blocked* kernel: the same matrices computed one 64-bit column
-///    block at a time through a dense N-word column buffer, so the random
-///    reads that dominate the sweep stay cache-resident at any N
-///    (bit-identical output, selected automatically above a size
-///    threshold);
-///  - the *banded on-demand* closure (BandedClosure below): no N x N
-///    matrices at all — the weighting loop visits contributors in
-///    ascending order, so the closure rows of one 64-contributor band are
-///    rebuilt O(N/64) times from the edges, for O(N) words of memory
-///    total.
+///  - TransitiveClosure: both N x N matrices, filled by one reverse sweep
+///    ORing whole successor rows. MemDepCertifier and the tests-side
+///    weighting oracle read it;
+///  - BandedClosure: no N x N matrices at all. The weighting loop visits
+///    contributors in ascending order, so the closure rows of one
+///    64-contributor band are rebuilt O(N/64) times from the edges, for
+///    O(N) words of memory total. It is the balanced weighter's only G_ind
+///    source.
 ///
 /// The materialized rows live in two flat word arrays (one cache-resident
 /// allocation per direction instead of one vector per node), and the
@@ -44,48 +40,17 @@
 #include "support/BitVector.h"
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace bsched {
 
-/// How the balanced-weighting kernel obtains its G_ind rows.
-enum class ClosureMode : uint8_t {
-  /// Size-based selection (the default): materialized matrices below the
-  /// on-demand threshold, banded on-demand at or above it. The matrix
-  /// kernel (row vs blocked) is itself chosen by size.
-  Auto,
-  /// Force full N x N matrices via the legacy row-sweep kernel.
-  Materialized,
-  /// Force full N x N matrices via the cache-blocked column kernel.
-  Blocked,
-  /// Force the banded on-demand closure (no matrices).
-  OnDemand,
-};
-
-/// Returns "auto"/"materialized"/"blocked"/"on-demand".
-const char *closureModeName(ClosureMode Mode);
-
-/// Parses a closureModeName spelling; returns false on anything else.
-bool parseClosureModeName(std::string_view Name, ClosureMode &Mode);
-
-/// Closure-strategy knobs carried by PipelineConfig. Every mode produces
-/// identical G_ind sets, hence bit-identical weights and schedules; the
-/// knobs only trade memory versus constant factors, but they are still
-/// part of the compile-cache key (a cheap invariant: anything on the
-/// config is keyed).
-struct ClosureOptions {
-  ClosureMode Mode = ClosureMode::Auto;
-
-  /// Auto switches to the banded on-demand closure at N >= this. 2048 is
-  /// where the two matrices (2 * N^2 / 8 bytes = 1 MiB) start falling out
-  /// of per-core cache on commodity parts.
-  unsigned OnDemandThreshold = 2048;
-};
-
-/// Which kernel TransitiveClosure::compute uses to fill the matrices.
-/// Both produce identical bits; Auto picks by size.
-enum class ClosureKernel : uint8_t { Auto, Rows, Blocked };
+/// An empty placeholder for the closure-strategy knobs that earlier
+/// builds carried on PipelineConfig. Every block is now weighted through
+/// BandedClosure, so there is nothing left to choose. The struct is kept
+/// only because the repository benchmark's layer replay
+/// (perfbench/cpp/Replay.cpp) still passes PipelineConfig::Closure to the
+/// BalancedWeighter constructor; it goes with the next benchmark change.
+struct ClosureOptions {};
 
 /// Dense transitive closure of a DepDag.
 class TransitiveClosure {
@@ -101,8 +66,7 @@ public:
 
   /// Recomputes the closure for \p Dag, reusing the row storage (no
   /// allocation when \p Dag is no larger than any previously computed DAG).
-  void compute(const DepDag &Dag, bool StorePreds = true,
-               ClosureKernel Kernel = ClosureKernel::Auto);
+  void compute(const DepDag &Dag, bool StorePreds = true);
 
   /// Number of nodes in the closed DAG.
   unsigned size() const { return N; }
@@ -137,9 +101,6 @@ public:
   void independentOf(unsigned Node, BitVector &Out) const;
 
 private:
-  void computeRows(const DepDag &Dag);
-  void computeBlocked(const DepDag &Dag);
-
   const uint64_t *succRow(unsigned Node) const {
     return SuccWords.data() + size_t(Node) * WordsPerRow;
   }
@@ -152,7 +113,6 @@ private:
   bool HavePreds = false;
   std::vector<uint64_t> SuccWords; ///< N rows of WordsPerRow words.
   std::vector<uint64_t> PredWords; ///< Same shape; empty if !HavePreds.
-  std::vector<uint64_t> Column;    ///< Blocked-kernel column buffer.
 };
 
 /// Banded on-demand closure: serves the same independentOf queries as a
@@ -170,7 +130,7 @@ private:
 ///-for-bit the same rows the materialized matrices would hold — which
 /// serve the next 64 queries. Memory stays O(N) words; total work over
 /// all bands matches the full-matrix sweep's O(E * N / 64) word
-/// operations, so switching modes trades nothing but peak memory.
+/// operations, so dropping the matrices costs nothing but the transpose.
 ///
 /// Queries outside the cached band transparently rebuild (correct for any
 /// access pattern; efficient for the weighter's ascending one).

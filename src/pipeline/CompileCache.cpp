@@ -60,33 +60,16 @@ std::string bsched::experimentCacheKey(const Function &Program,
          std::to_string(Config.Budget.MaxClosureBits) + ' ' +
          std::to_string(Config.Budget.MaxSpillSlots);
   Flag(Config.Budget.Degrade);
-  // Closure mode never changes results (every mode yields bit-identical
-  // weights), but the invariant "everything on the config is keyed" is
-  // cheaper to keep than to reason about per field.
-  Key += ' ';
-  Key += closureModeName(Config.Closure.Mode);
-  Key += ' ' + std::to_string(Config.Closure.OnDemandThreshold);
   return Key;
-}
-
-uint64_t bsched::experimentContentHash(const Function &Program,
-                                       const PipelineConfig &Config) {
-  const std::string Key = experimentCacheKey(Program, Config);
-  uint64_t Hash = 0xCBF29CE484222325ULL; // FNV-1a offset basis.
-  for (char C : Key) {
-    Hash ^= static_cast<unsigned char>(C);
-    Hash *= 0x100000001B3ULL; // FNV prime.
-  }
-  return Hash;
 }
 
 namespace {
 
 uint64_t fnv1a(const std::string &Key) {
-  uint64_t Hash = 0xCBF29CE484222325ULL;
+  uint64_t Hash = 0xCBF29CE484222325ULL; // FNV-1a offset basis.
   for (char C : Key) {
     Hash ^= static_cast<unsigned char>(C);
-    Hash *= 0x100000001B3ULL;
+    Hash *= 0x100000001B3ULL; // FNV prime.
   }
   return Hash;
 }
@@ -104,6 +87,11 @@ uint64_t snapshotBytes(const MetricSnapshot &Metrics) {
 }
 
 } // namespace
+
+uint64_t bsched::experimentContentHash(const Function &Program,
+                                       const PipelineConfig &Config) {
+  return fnv1a(experimentCacheKey(Program, Config));
+}
 
 uint64_t CompileCache::entryBytes(const std::string &Key,
                                   const CompiledFunction &Compiled,

@@ -47,10 +47,6 @@ std::string PipelineConfig::toJson() const {
   W.key("sched").beginObject();
   W.key("issue_width").value(SchedOptions.IssueWidth);
   W.endObject();
-  W.key("closure").beginObject();
-  W.key("mode").value(closureModeName(Closure.Mode));
-  W.key("on_demand_threshold").value(Closure.OnDemandThreshold);
-  W.endObject();
   W.key("run_regalloc").value(RunRegAlloc);
   W.key("second_scheduling_pass").value(SecondSchedulingPass);
   W.key("honor_known_latency").value(HonorKnownLatency);
@@ -253,21 +249,11 @@ ErrorOr<PipelineConfig> PipelineConfig::fromJsonValue(const JsonValue &Doc) {
       return true;
     }
     if (Key == "closure") {
-      R.object(V, Key, [&](std::string_view K, const JsonValue &F) {
-        std::string Path = ConfigReader::join(Key, K);
-        if (K == "mode") {
-          if (!F.isString() ||
-              !parseClosureModeName(F.asString(), Config.Closure.Mode))
-            R.error(DiagCode::ProtocolBadValue,
-                    "config key '" + Path +
-                        "' expects one of \"auto\", \"materialized\", "
-                        "\"blocked\", \"on-demand\"");
-          return true;
-        }
-        if (K == "on_demand_threshold")
-          return R.readUnsigned(F, Path, Config.Closure.OnDemandThreshold),
-                 true;
-        return false;
+      // Earlier v1 builds serialized closure-strategy knobs that could not
+      // change a result. The object is still accepted, so their saved
+      // configs load, and its members are ignored.
+      R.object(V, Key, [](std::string_view, const JsonValue &) {
+        return true;
       });
       return true;
     }

@@ -161,12 +161,12 @@ std::unique_ptr<Weighter> makeWeighter(const PipelineConfig &Config) {
     return std::make_unique<BalancedWeighter>(
         Config.Ops, ChancesMethod::ExactLongestPath,
         static_cast<double>(Config.SchedOptions.IssueWidth),
-        Config.HonorKnownLatency, Config.Closure);
+        Config.HonorKnownLatency);
   case SchedulerPolicy::BalancedUnionFind:
     return std::make_unique<BalancedWeighter>(
         Config.Ops, ChancesMethod::UnionFindLevels,
         static_cast<double>(Config.SchedOptions.IssueWidth),
-        Config.HonorKnownLatency, Config.Closure);
+        Config.HonorKnownLatency);
   case SchedulerPolicy::AverageLlp:
     return std::make_unique<AverageWeighter>(Config.Ops);
   case SchedulerPolicy::NoScheduling:

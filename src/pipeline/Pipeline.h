@@ -101,12 +101,8 @@ struct PipelineConfig {
   /// (section 6 opt-out). Off = treat every load as uncertain.
   bool HonorKnownLatency = true;
 
-  /// How the balanced weighter obtains its G_ind sets
-  /// (dag/Reachability.h): materialized matrices, the cache-blocked
-  /// matrix kernel, the banded on-demand closure, or size-based Auto.
-  /// Every mode produces bit-identical weights and schedules; the knobs
-  /// are still serialized and cache-keyed (anything on the config is
-  /// keyed).
+  /// An empty placeholder, neither serialized nor cache-keyed; see
+  /// ClosureOptions in dag/Reachability.h.
   ClosureOptions Closure;
 
   /// Apply software register renaming between allocation and the second

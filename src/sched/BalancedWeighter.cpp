@@ -8,34 +8,14 @@
 #include "sched/BalancedWeighter.h"
 
 #include "dag/DagUtils.h"
-#include "dag/Reachability.h"
 #include "sched/WeighterScratch.h"
 #include "support/ResourceGovernor.h"
-#include "support/UnionFind.h"
 
-#include <algorithm>
 #include <span>
 
 using namespace bsched;
 
 namespace {
-
-/// The paper's union-find approximation of Chances for one component:
-/// with node levels (distance from the farthest leaf) maintained as
-/// min/max per set, the longest path length is (max - min + 1). That
-/// counts *nodes*; clamp to the number of loads in the component so the
-/// estimate never exceeds what any path could contain.
-unsigned chancesByLevels(std::span<const unsigned> Component,
-                         const std::vector<unsigned> &Levels,
-                         unsigned NumLoadsInComponent) {
-  unsigned MinLevel = ~0u, MaxLevel = 0;
-  for (unsigned Node : Component) {
-    MinLevel = std::min(MinLevel, Levels[Node]);
-    MaxLevel = std::max(MaxLevel, Levels[Node]);
-  }
-  unsigned PathLength = MaxLevel - MinLevel + 1;
-  return std::min(PathLength, NumLoadsInComponent);
-}
 
 /// Marks which nodes count as *uncertain* loads: known-latency loads are
 /// excluded when the opt-out is honoured (section 6).
@@ -64,7 +44,7 @@ double initialWeight(const Instruction &Instr, const LatencyModel &Model,
 /// Accumulates weights into \p Scratch.Weights and reports every
 /// contribution through \p RecordShare; the breakdown path materializes
 /// its O(n^2) matrix there while the hot path passes a no-op. Per-node
-/// addition order is identical to the retained reference implementation
+/// addition order is identical to the tests-side reference oracle
 /// (ascending contributor, one share per node per contributor), so the
 /// accumulated doubles are bit-identical to it.
 template <typename RecordFnT>
@@ -90,35 +70,24 @@ void BalancedWeighter::runKernel(DepDag &Dag, WeighterScratch &Scratch,
   // expensive longest-path route); the union-find estimate is its
   // documented cheap fallback, so only the exact method admits here —
   // otherwise the degradation ladder could never land anywhere. The
-  // charge is the analysis's O(n^2) word work, so it applies in every
-  // closure mode, including on-demand where the bits are never resident.
+  // charge is the analysis's O(n^2) word work, so it applies even though
+  // the banded closure never holds those bits resident.
   if (Gov && Method == ChancesMethod::ExactLongestPath &&
       !Gov->admit(BudgetKind::ClosureBits, ResourceBudget::closureBitsFor(N)))
     return; // Caller must check Gov->tripped().
 
-  // G_ind source (dag/Reachability.h): materialized matrices below the
-  // on-demand threshold, banded recomputation above it. Every mode hands
-  // back identical G_ind bits, so the weights stay bit-identical to the
-  // reference regardless of the selection.
-  const bool OnDemand =
-      Closure.Mode == ClosureMode::OnDemand ||
-      (Closure.Mode == ClosureMode::Auto && N >= Closure.OnDemandThreshold);
-  if (OnDemand)
-    Scratch.Bands.attach(Dag);
-  else
-    Scratch.Closure.compute(Dag, /*StorePreds=*/true,
-                            Closure.Mode == ClosureMode::Blocked
-                                ? ClosureKernel::Blocked
-                            : Closure.Mode == ClosureMode::Materialized
-                                ? ClosureKernel::Rows
-                                : ClosureKernel::Auto);
+  // G_ind source (dag/Reachability.h): the banded closure rebuilds one
+  // 64-contributor band of Pred*/Succ* rows at a time in O(n) memory,
+  // serving the ascending contributor loop below with the same bits a
+  // materialized matrix would hold.
+  Scratch.Bands.attach(Dag);
 
   // Steps 2-7: every instruction distributes its issue slots over the
   // loads it could hide behind. A share's value depends only on its
   // component's Chances, and each uncertain node receives exactly one
   // share per contributing instruction, so iteration order within a
   // contributor never changes the accumulated doubles — both branches
-  // below stay bit-identical to the reference implementation.
+  // below stay bit-identical to the reference oracle.
   //
   // Chains make consecutive contributors' G_ind coincide exactly (for
   // A -> B where B is A's only successor and A is B's only predecessor,
@@ -129,10 +98,7 @@ void BalancedWeighter::runKernel(DepDag &Dag, WeighterScratch &Scratch,
   bool PrevValid = false;
 
   auto Contribute = [&](unsigned I) {
-    if (OnDemand)
-      Scratch.Bands.independentOf(I, Scratch.Independent);
-    else
-      Scratch.Closure.independentOf(I, Scratch.Independent);
+    Scratch.Bands.independentOf(I, Scratch.Independent);
     // Shares flow only to uncertain loads, so a G_ind without any (the
     // empty set included) contributes nothing — skip the whole analysis.
     if (!Scratch.Independent.intersects(Scratch.UncertainBits))
@@ -241,54 +207,6 @@ void BalancedWeighter::assignWeights(DepDag &Dag) const {
 void BalancedWeighter::assignWeights(DepDag &Dag,
                                      WeighterScratch &Scratch) const {
   runKernel(Dag, Scratch, [](unsigned, unsigned, double) {});
-}
-
-void BalancedWeighter::assignWeightsReference(DepDag &Dag) const {
-  unsigned N = Dag.size();
-
-  // The pre-optimization kernel, kept verbatim as the differential-test
-  // oracle: same algorithm, but every analysis allocates its own state
-  // (fresh BitVector per G_ind, fresh union-find and vector-of-vectors per
-  // component partition, fresh Levels vector per instruction).
-  std::vector<char> Uncertain;
-  uncertainLoads(Dag, HonorKnownLatency, Uncertain);
-  std::vector<double> Weights(N);
-  for (unsigned I = 0; I != N; ++I)
-    Weights[I] = initialWeight(Dag.instruction(I), Model, HonorKnownLatency);
-
-  TransitiveClosure Closure(Dag);
-
-  for (unsigned I = 0; I != N; ++I) {
-    BitVector Independent = Closure.independentOf(I);
-    if (!Independent.any())
-      continue;
-
-    std::vector<unsigned> Levels;
-    if (Method == ChancesMethod::UnionFindLevels)
-      Levels = levelsFromLeavesWithin(Dag, Independent);
-
-    double Slots = Model.issueSlots(Dag.instruction(I)) / SlotsPerCycle;
-    for (const std::vector<unsigned> &Component :
-         connectedComponents(Dag, Independent)) {
-      unsigned NumLoads = 0;
-      for (unsigned Node : Component)
-        NumLoads += Uncertain[Node];
-      if (NumLoads == 0)
-        continue;
-
-      unsigned Chances =
-          Method == ChancesMethod::ExactLongestPath
-              ? longestLoadPath(Dag, Component, Uncertain)
-              : chancesByLevels(Component, Levels, NumLoads);
-      double Share = Slots / static_cast<double>(Chances);
-      for (unsigned Node : Component)
-        if (Uncertain[Node])
-          Weights[Node] += Share;
-    }
-  }
-
-  for (unsigned I = 0; I != N; ++I)
-    Dag.setWeight(I, Weights[I]);
 }
 
 std::string BalancedWeighter::name() const {

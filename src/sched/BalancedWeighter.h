@@ -53,34 +53,28 @@ public:
   /// latency is statically known (Instruction::hasKnownLatency) keep that
   /// fixed weight, absorb no load-level parallelism, and do not dilute
   /// the Chances divisor of the uncertain loads around them.
-  /// \p Closure selects how G_ind is obtained (dag/Reachability.h); every
-  /// mode yields bit-identical weights, trading memory for constants.
+  /// The trailing ClosureOptions is an ignored placeholder
+  /// (dag/Reachability.h): G_ind always comes from BandedClosure.
   explicit BalancedWeighter(LatencyModel Model = LatencyModel(),
                             ChancesMethod Method =
                                 ChancesMethod::ExactLongestPath,
                             double SlotsPerCycle = 1.0,
                             bool HonorKnownLatency = true,
-                            ClosureOptions Closure = {})
+                            ClosureOptions = {})
       : Model(Model), Method(Method), SlotsPerCycle(SlotsPerCycle),
-        HonorKnownLatency(HonorKnownLatency), Closure(Closure) {
+        HonorKnownLatency(HonorKnownLatency) {
     assert(SlotsPerCycle >= 1.0 && "issue width below one");
   }
 
   void assignWeights(DepDag &Dag) const override;
 
   /// The hot-path entry: same result as assignWeights(Dag), but all
-  /// per-instruction working state (transitive closure, G_ind bit vector,
+  /// per-instruction working state (banded closure, G_ind bit vector,
   /// component partition, level/path DP arrays, weight accumulators) lives
   /// in \p Scratch and is reused — zero heap allocations once the scratch
   /// has warmed up to the largest block seen. One scratch per thread; the
   /// weighter itself stays immutable and shareable.
   void assignWeights(DepDag &Dag, WeighterScratch &Scratch) const override;
-
-  /// The retained pre-optimization implementation (allocating analyses,
-  /// identical results bit-for-bit). It is the oracle of the randomized
-  /// differential test and of bench_perf_scaling's before/after columns;
-  /// not for production use.
-  void assignWeightsReference(DepDag &Dag) const;
 
   std::string name() const override;
 
@@ -111,7 +105,6 @@ private:
   ChancesMethod Method;
   double SlotsPerCycle;
   bool HonorKnownLatency;
-  ClosureOptions Closure;
 };
 
 } // namespace bsched

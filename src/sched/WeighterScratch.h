@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The balanced-weighting kernel's workspace (DESIGN.md §3h): every buffer
-/// the per-instruction loop needs — the transitive closure, the G_ind bit
+/// the per-instruction loop needs — the banded closure, the G_ind bit
 /// vector, the epoch-stamped DAG-analysis scratch, and the weight
 /// accumulators — allocated once and reused across instructions, blocks,
 /// and whole compilations. A weighter never owns one (weighters stay
@@ -47,8 +47,7 @@ public:
 private:
   friend class BalancedWeighter;
 
-  TransitiveClosure Closure;    ///< Pred*/Succ* rows, recomputed per DAG.
-  BandedClosure Bands;          ///< On-demand closure (huge DAGs).
+  BandedClosure Bands;          ///< Pred*/Succ* rows, one band at a time.
   BitVector Independent;        ///< G_ind of the current instruction.
   std::vector<char> Uncertain;  ///< Per-node uncertain-load flags.
   BitVector UncertainBits;      ///< Same flags as a word-testable mask.

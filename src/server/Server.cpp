@@ -114,7 +114,12 @@ void BschedServer::stop() {
 }
 
 void BschedServer::acceptLoop() {
-  while (!Stopping.load()) {
+  // Once stop() shuts the listener down, accept() still hands out the
+  // connections already queued in its backlog and fails when it is empty.
+  // Each of them is served like any other (a request read after Stopping
+  // is refused with BS908): closing one with its request unread would
+  // reset the client instead of answering it.
+  for (;;) {
     FdHandle Conn = Listener.accept();
     if (!Conn.valid()) {
       if (Stopping.load())
@@ -124,8 +129,6 @@ void BschedServer::acceptLoop() {
     if (Metrics)
       Metrics->counter("bsched.server.connections").add();
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    if (Stopping.load())
-      break; // Raced stop(): drop the connection, it closes on return.
     LiveConns.push_back(Conn.get());
     ConnThreads.emplace_back(
         [this, C = std::move(Conn)]() mutable { serveConnection(std::move(C)); });

@@ -9,7 +9,7 @@
 /// The huge-block family: deterministic single-block functions of exactly
 /// n schedulable instructions for n far beyond the paper's working set
 /// (their blocks top out in the hundreds). These are the inputs of the
-/// huge-DAG scaling work (DESIGN.md §3m): the closure-mode equivalence
+/// huge-DAG scaling work (DESIGN.md §3m): the banded-closure equivalence
 /// tests, the n=4096 differential oracle, bench_huge_dag, and the
 /// perf-smoke gate all draw from here, so the generator is part of the
 /// workload library rather than private to one bench binary.

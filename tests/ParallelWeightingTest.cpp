@@ -22,6 +22,7 @@
 #include "sched/BalancedWeighter.h"
 #include "sched/WeighterScratch.h"
 #include "support/ThreadPool.h"
+#include "tests/WeightsOracle.h"
 #include "workload/PerfectClub.h"
 
 #include <bit>
@@ -57,8 +58,10 @@ void expectIdenticalCompiles(const CompiledFunction &Serial,
 } // namespace
 
 TEST(ParallelWeightingTest, PipelineMatchesSerialAcrossPolicies) {
+  // The pooled runs also put each worker's banded-closure scratch state
+  // under the race detector (the TSan preset runs this suite).
   ThreadPool Pool(4);
-  for (Benchmark B : {Benchmark::MDG, Benchmark::TRACK}) {
+  for (Benchmark B : {Benchmark::MDG, Benchmark::TRACK, Benchmark::QCD2}) {
     Function F = testFunction(B);
     ASSERT_GT(F.numBlocks(), 1u);
     for (SchedulerPolicy Policy :
@@ -79,25 +82,39 @@ TEST(ParallelWeightingTest, PipelineMatchesSerialAcrossPolicies) {
 }
 
 TEST(ParallelWeightingTest, OnDemandClosureMatchesMaterializedAcrossPool) {
-  // The closure mode never changes results (DESIGN.md §3m): a parallel
-  // on-demand run must be bit-identical to a serial materialized one.
-  // Forcing the modes (threshold-independent) also routes the banded
-  // closure through the worker threads, putting its per-scratch state
-  // under the race detector.
+  // The weighter answers G_ind queries from an on-demand BandedClosure in
+  // each worker's scratch; the reference oracle reads a materialized
+  // TransitiveClosure. Weighting every block on the pool must give the
+  // oracle's weights bit for bit, with the banded closure's per-scratch
+  // state running on the worker threads (under the race detector in the
+  // TSan preset).
   ThreadPool Pool(4);
+  BalancedWeighter W(LatencyModel(), ChancesMethod::ExactLongestPath, 1.0,
+                     /*HonorKnownLatency=*/true);
   for (Benchmark B : {Benchmark::MDG, Benchmark::QCD2}) {
     Function F = testFunction(B);
-    PipelineConfig Serial;
-    Serial.Closure.Mode = ClosureMode::Materialized;
-    PipelineConfig Parallel;
-    Parallel.Closure.Mode = ClosureMode::OnDemand;
-    Parallel.WeighterPool = &Pool;
+    unsigned NumBlocks = F.numBlocks();
+    std::vector<std::vector<double>> PoolWeights(NumBlocks);
+    parallelForEach(Pool, NumBlocks, [&](size_t BI) {
+      thread_local WeighterScratch Scratch;
+      DepDag Dag =
+          buildDag(F.block(static_cast<unsigned>(BI)), DagBuildOptions());
+      W.assignWeights(Dag, Scratch);
+      for (unsigned I = 0; I != Dag.size(); ++I)
+        PoolWeights[BI].push_back(Dag.weight(I));
+    });
 
-    ErrorOr<CompiledFunction> SerialOr = runPipeline(F, Serial);
-    ErrorOr<CompiledFunction> ParallelOr = runPipeline(F, Parallel);
-    ASSERT_TRUE(SerialOr.has_value());
-    ASSERT_TRUE(ParallelOr.has_value());
-    expectIdenticalCompiles(*SerialOr, *ParallelOr);
+    for (unsigned BI = 0; BI != NumBlocks; ++BI) {
+      DepDag Reference = buildDag(F.block(BI), DagBuildOptions());
+      assignReferenceWeights(Reference, LatencyModel(),
+                             ChancesMethod::ExactLongestPath, 1.0,
+                             /*HonorKnownLatency=*/true);
+      ASSERT_EQ(PoolWeights[BI].size(), Reference.size());
+      for (unsigned I = 0; I != Reference.size(); ++I)
+        EXPECT_EQ(std::bit_cast<uint64_t>(PoolWeights[BI][I]),
+                  std::bit_cast<uint64_t>(Reference.weight(I)))
+            << "block " << BI << " node " << I;
+    }
   }
 }
 

@@ -90,10 +90,28 @@ TEST(JsonValueTest, UInt64RejectsFractionsAndNegatives) {
 
 // The golden pin: this exact string is schema v1. Reordering, renaming,
 // or removing a field is a schema event — bump SchemaVersion and provide
-// a migration. Adding a key whose absence means its default (every v1
-// document keeps parsing to the same config) stays within v1; update the
-// string alongside the new knob.
+// a migration — unless v1 keeps accepting the old key, as it does for
+// the dropped `closure` object (LegacyPaperDefaultJson below). Adding a
+// key whose absence means its default (every v1 document keeps parsing
+// to the same config) stays within v1; update the string alongside the
+// new knob.
 constexpr const char *PaperDefaultJson =
+    "{\"schema_version\":1,\"policy\":\"balanced\",\"optimistic_latency\":2,"
+    "\"op_latencies\":{},"
+    "\"target\":{\"int_regs\":26,\"fp_regs\":16,\"spill_pool_size\":4,"
+    "\"fifo_spill_pool\":true},"
+    "\"dag\":{\"disambiguate_same_base\":true,\"alias_analysis\":true},"
+    "\"sched\":{\"issue_width\":1},"
+    "\"run_regalloc\":true,\"second_scheduling_pass\":true,"
+    "\"honor_known_latency\":true,\"rename_after_allocation\":false,"
+    "\"certify\":true,"
+    "\"budget\":{\"deadline_ms\":0,\"max_ticks\":0,"
+    "\"max_instructions_per_block\":0,\"max_dag_edges\":0,"
+    "\"max_closure_bits\":0,\"max_spill_slots\":0,\"degrade\":true}}";
+
+// The paper default as earlier v1 builds wrote it, with the closure-
+// strategy knobs that could not change a result.
+constexpr const char *LegacyPaperDefaultJson =
     "{\"schema_version\":1,\"policy\":\"balanced\",\"optimistic_latency\":2,"
     "\"op_latencies\":{},"
     "\"target\":{\"int_regs\":26,\"fp_regs\":16,\"spill_pool_size\":4,"
@@ -118,6 +136,25 @@ TEST(ConfigJsonTest, EmptyObjectIsPaperDefault) {
   EXPECT_EQ(Config->toJson(), PaperDefaultJson);
 }
 
+TEST(ConfigJsonTest, LegacyClosureObjectIsAcceptedAndIgnored) {
+  ErrorOr<PipelineConfig> Legacy =
+      PipelineConfig::fromJson(LegacyPaperDefaultJson);
+  ASSERT_TRUE(Legacy.has_value()) << Legacy.errorText();
+  ErrorOr<PipelineConfig> Empty = PipelineConfig::fromJson("{}");
+  ASSERT_TRUE(Empty.has_value());
+  EXPECT_EQ(Legacy->toJson(), Empty->toJson());
+  EXPECT_EQ(Legacy->toJson(), PaperDefaultJson);
+}
+
+TEST(ConfigJsonTest, NonObjectClosureIsBS903) {
+  ErrorOr<PipelineConfig> Config =
+      PipelineConfig::fromJson(R"({"closure":7})");
+  ASSERT_FALSE(Config.has_value());
+  EXPECT_EQ(Config.errors().front().Code, DiagCode::ProtocolBadValue);
+  EXPECT_NE(Config.errors().front().Message.find("'closure' expects a"),
+            std::string::npos);
+}
+
 TEST(ConfigJsonTest, RoundTripPreservesEveryKnob) {
   PipelineConfig Config = PipelineConfig::paperDefault();
   Config.Policy = SchedulerPolicy::Traditional;
@@ -130,8 +167,6 @@ TEST(ConfigJsonTest, RoundTripPreservesEveryKnob) {
   Config.DagOptions.DisambiguateSameBase = false;
   Config.DagOptions.AliasAnalysis = false;
   Config.SchedOptions.IssueWidth = 4;
-  Config.Closure.Mode = ClosureMode::OnDemand;
-  Config.Closure.OnDemandThreshold = 512;
   Config.RunRegAlloc = false;
   Config.SecondSchedulingPass = false;
   Config.HonorKnownLatency = false;
@@ -564,11 +599,6 @@ TEST(CacheKeyTest, EveryBehaviorAffectingFieldIsInTheKey) {
          [](PipelineConfig &C) { C.Budget.MaxSpillSlots = 99; });
   Mutate("budget.degrade",
          [](PipelineConfig &C) { C.Budget.Degrade = false; });
-  Mutate("closure.mode", [](PipelineConfig &C) {
-    C.Closure.Mode = ClosureMode::OnDemand;
-  });
-  Mutate("closure.on_demand_threshold",
-         [](PipelineConfig &C) { C.Closure.OnDemandThreshold = 64; });
 
   for (const auto &[Name, Config] : Mutants)
     EXPECT_NE(experimentCacheKey(F, Config), Base)

@@ -9,13 +9,13 @@
 /// Randomized differential tests for the allocation-free balanced-weighting
 /// kernel: over thousands of random DAGs — both Chances methods, known
 /// latencies honoured and ignored — the optimized scratch-driven kernel
-/// must produce weights *bit-identical* to the retained allocating
-/// reference implementation (BalancedWeighter::assignWeightsReference).
+/// must produce weights *bit-identical* to the allocating reference oracle
+/// (tests/WeightsOracle.h).
 /// Bit-identity, not epsilon-closeness: the kernel adds the same shares in
 /// the same order, so any drift means the analyses diverged. One scratch is
 /// reused across every DAG and configuration, which is exactly the
-/// pipeline's reuse pattern. The Pred-matrix-free closure mode is checked
-/// against the dense one on the same DAGs.
+/// pipeline's reuse pattern. The Pred-matrix-free TransitiveClosure and the
+/// weighter's BandedClosure are checked against the dense matrices.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,7 @@
 #include "sched/ListScheduler.h"
 #include "sched/WeighterScratch.h"
 #include "support/Rng.h"
+#include "tests/WeightsOracle.h"
 #include "workload/HugeBlocks.h"
 
 #include <bit>
@@ -134,7 +135,8 @@ TEST(WeighterDifferential, RandomDagsBitIdenticalToReference) {
       DepDag Optimized = Spec.instantiate();
       DepDag Reference = Spec.instantiate();
       W.assignWeights(Optimized, Scratch);
-      W.assignWeightsReference(Reference);
+      assignReferenceWeights(Reference, LatencyModel(), Config.Method, 1.0,
+                             Config.HonorKnown);
       ASSERT_EQ(Optimized.size(), Reference.size());
       for (unsigned I = 0; I != Optimized.size(); ++I)
         expectBitIdentical(Optimized, Reference, I);
@@ -157,7 +159,8 @@ TEST(WeighterDifferential, SuperscalarWidthsMatchReference) {
         DepDag Optimized = Spec.instantiate();
         DepDag Reference = Spec.instantiate();
         W.assignWeights(Optimized, Scratch);
-        W.assignWeightsReference(Reference);
+        assignReferenceWeights(Reference, LatencyModel(), Config.Method,
+                               Width, Config.HonorKnown);
         for (unsigned I = 0; I != Optimized.size(); ++I)
           expectBitIdentical(Optimized, Reference, I);
         if (HasFailure())
@@ -178,7 +181,8 @@ TEST(WeighterDifferential, BreakdownWeightsMatchReference) {
       DepDag Reference = Spec.instantiate();
       BalancedWeighter::Breakdown Breakdown =
           W.computeBreakdown(ForBreakdown);
-      W.assignWeightsReference(Reference);
+      assignReferenceWeights(Reference, LatencyModel(), Config.Method, 1.0,
+                             Config.HonorKnown);
 
       ASSERT_EQ(Breakdown.Weights.size(), Reference.size());
       for (unsigned I = 0; I != Reference.size(); ++I) {
@@ -215,21 +219,19 @@ TEST(WeighterDifferential, ClosureWithoutPredMatrixIsEquivalent) {
   }
 }
 
-/// The three closure implementations — the materialized row sweep, the
-/// blocked/tiled kernel, and the matrix-free banded on-demand form — must
-/// agree bit-for-bit on every independence set. Sizes straddle the 64-bit
-/// word boundaries where the block/band edge cases live (partial last
+/// The weighter's banded closure must agree bit-for-bit with the
+/// materialized row kernel on every independence set. Sizes straddle the
+/// 64-bit word boundaries where the band edge cases live (partial last
 /// word, exactly full words, one node past a full word).
 TEST(WeighterDifferential, ClosureKernelsAgreeAtWordBoundaries) {
   Rng R(0xB10CC);
-  TransitiveClosure Rows, Blocked;
+  TransitiveClosure Rows;
   BandedClosure Bands;
-  BitVector RowsInd, BlockedInd, BandInd;
+  BitVector RowsInd, BandInd;
   for (unsigned N : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 130u, 257u}) {
     for (unsigned Trial = 0; Trial != 6; ++Trial) {
       DepDag Dag = randomSpecOfSize(R, N).instantiate();
-      Rows.compute(Dag, /*StorePreds=*/true, ClosureKernel::Rows);
-      Blocked.compute(Dag, /*StorePreds=*/true, ClosureKernel::Blocked);
+      Rows.compute(Dag);
       Bands.attach(Dag);
       ASSERT_EQ(Bands.size(), N);
       // Ascending then descending, so the band cache both streams forward
@@ -238,56 +240,39 @@ TEST(WeighterDifferential, ClosureKernelsAgreeAtWordBoundaries) {
         for (unsigned Step = 0; Step != N; ++Step) {
           unsigned I = Pass == 0 ? Step : N - 1 - Step;
           Rows.independentOf(I, RowsInd);
-          Blocked.independentOf(I, BlockedInd);
           Bands.independentOf(I, BandInd);
-          ASSERT_EQ(RowsInd, BlockedInd)
-              << "blocked-kernel G_ind mismatch at node " << I << " of " << N;
           ASSERT_EQ(RowsInd, BandInd)
               << "banded G_ind mismatch at node " << I << " of " << N;
-          ASSERT_EQ(Blocked.succsOf(I), Rows.succsOf(I));
-          ASSERT_EQ(Blocked.predsOf(I), Rows.predsOf(I));
         }
       }
     }
   }
 }
 
-/// The huge-DAG oracle (ISSUE 10 acceptance): on real builder-produced
-/// DAGs at n ∈ {64, 512, 4096}, every closure mode must reproduce the
-/// allocating reference's weights bit-for-bit, for both Chances methods —
-/// and since schedules are a pure function of weights, the schedules must
-/// match across modes too (checked directly at n=512).
-TEST(WeighterDifferential, HugeBlocksBitIdenticalAcrossClosureModes) {
+/// The huge-DAG oracle: on real builder-produced DAGs at n ∈ {64, 512,
+/// 4096}, the default weighting path must reproduce the reference
+/// oracle's weights bit-for-bit, for both Chances methods — and since
+/// schedules are a pure function of weights, the n=512 schedules must
+/// match too.
+TEST(WeighterDifferential, HugeBlocksBitIdenticalToOracle) {
   WeighterScratch Scratch;
   for (unsigned Size : {64u, 512u, 4096u}) {
     Function F = buildHugeBlock(Size);
     for (ChancesMethod Method :
          {ChancesMethod::ExactLongestPath, ChancesMethod::UnionFindLevels}) {
       DepDag Reference = buildDag(F.block(0));
-      BalancedWeighter RefW(LatencyModel(), Method, 1.0, true);
-      RefW.assignWeightsReference(Reference);
-
-      std::vector<unsigned> FirstOrder;
-      for (ClosureMode Mode : {ClosureMode::Materialized, ClosureMode::Blocked,
-                               ClosureMode::OnDemand}) {
-        ClosureOptions Closure;
-        Closure.Mode = Mode;
-        BalancedWeighter W(LatencyModel(), Method, 1.0, true, Closure);
-        DepDag Dag = buildDag(F.block(0));
-        W.assignWeights(Dag, Scratch);
-        ASSERT_EQ(Dag.size(), Size);
-        for (unsigned I = 0; I != Dag.size(); ++I)
-          expectBitIdentical(Dag, Reference, I);
-        if (HasFailure())
-          return;
-        if (Size == 512) {
-          Schedule S = scheduleDag(Dag);
-          if (FirstOrder.empty())
-            FirstOrder = S.Order;
-          else
-            EXPECT_EQ(S.Order, FirstOrder)
-                << "schedule drift across closure modes";
-        }
+      assignReferenceWeights(Reference, LatencyModel(), Method, 1.0, true);
+      BalancedWeighter W(LatencyModel(), Method, 1.0, true);
+      DepDag Dag = buildDag(F.block(0));
+      W.assignWeights(Dag, Scratch);
+      ASSERT_EQ(Dag.size(), Size);
+      for (unsigned I = 0; I != Dag.size(); ++I)
+        expectBitIdentical(Dag, Reference, I);
+      if (HasFailure())
+        return;
+      if (Size == 512) {
+        EXPECT_EQ(scheduleDag(Dag).Order, scheduleDag(Reference).Order)
+            << "schedule drift from the oracle's weights";
       }
     }
   }
