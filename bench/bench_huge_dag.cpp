@@ -9,7 +9,8 @@
 //
 //  1. Closure memory at n ∈ {2048..16384}: union-find weighting time,
 //     the banded closure's resident bytes, and the 2*n^2/8-byte Pred*/Succ*
-//     matrices it replaces.
+//     matrices it replaces; plus scheduleDag time on each weighted block
+//     and on 2048 independent loads (the widest, all-tied ready frontier).
 //  2. Weighting throughput at the paper-scale working set (n <= 512) and
 //     at huge sizes — the >= 1M instr/s guard lives at n=512, where the
 //     per-contributor sweep is cache-resident.
@@ -20,7 +21,8 @@
 //     baseline, and a bit-identity check per worker count.
 //
 // `--smoke` compiles n=4096 through the default-governed pipeline and
-// times one closure-memory row, no artifact (the ctest perf-smoke gate).
+// times one closure-memory and scheduling row, no artifact (the ctest
+// perf-smoke gate).
 // Full runs write BENCH_huge_dag.json next to EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
@@ -30,6 +32,7 @@
 #include "ir/IrPrinter.h"
 #include "pipeline/Pipeline.h"
 #include "sched/BalancedWeighter.h"
+#include "sched/ListScheduler.h"
 #include "sched/WeighterScratch.h"
 #include "stats/Bootstrap.h"
 #include "support/ThreadPool.h"
@@ -73,8 +76,27 @@ struct ClosureRow {
   uint64_t MatrixBytes; ///< The Pred*/Succ* matrices it replaces.
 };
 
+struct ScheduleRow {
+  std::string Workload;
+  unsigned Instructions;
+  double MillisPerSchedule;
+};
+
+/// Mean scheduleDag milliseconds over \p Iters runs on a weighted DAG.
+ScheduleRow timeScheduling(std::string Workload, const DepDag &Dag,
+                           unsigned Iters) {
+  ScheduleRow Row{std::move(Workload), Dag.size(),
+                  timeMs(Iters, [&] { scheduleDag(Dag); })};
+  std::printf("[schedule] %-12s %9.2f ms per scheduleDag\n",
+              Row.Workload.c_str(), Row.MillisPerSchedule);
+  return Row;
+}
+
+/// Weights (and times) each huge block, then times scheduling it; the
+/// scheduling rows are appended to \p Scheduling.
 std::vector<ClosureRow> runClosureSweep(const std::vector<unsigned> &Sizes,
-                                        unsigned Iters) {
+                                        unsigned Iters,
+                                        std::vector<ScheduleRow> &Scheduling) {
   std::vector<ClosureRow> Rows;
   WeighterScratch Scratch;
   BalancedWeighter W(LatencyModel(), ChancesMethod::UnionFindLevels);
@@ -93,8 +115,18 @@ std::vector<ClosureRow> runClosureSweep(const std::vector<unsigned> &Sizes,
                 "(replaces %.1f MiB of matrices)\n",
                 Size, Ms, Banded / (1024.0 * 1024.0),
                 Matrix / (1024.0 * 1024.0));
+    Scheduling.push_back(
+        timeScheduling("huge" + std::to_string(Size), Dag, Iters));
   }
   return Rows;
+}
+
+/// Scheduling time on buildWideLoadBlock(\p NumLoads), balanced-weighted.
+ScheduleRow runWideScheduling(unsigned NumLoads, unsigned Iters) {
+  Function F = buildWideLoadBlock(NumLoads);
+  DepDag Dag = buildDag(F.block(0));
+  BalancedWeighter().assignWeights(Dag);
+  return timeScheduling("wide" + std::to_string(NumLoads), Dag, Iters);
 }
 
 //===----------------------------------------------------------------------===
@@ -319,6 +351,7 @@ std::vector<ScalingRow> runWorkerScaling(unsigned BlocksCount, unsigned Size,
 //===----------------------------------------------------------------------===
 
 void writeArtifact(const std::vector<ClosureRow> &Closure,
+                   const std::vector<ScheduleRow> &Scheduling,
                    const std::vector<ThroughputRow> &Throughput,
                    const std::vector<PipelineRow> &Pipeline,
                    const std::vector<ScalingRow> &Scaling,
@@ -335,6 +368,16 @@ void writeArtifact(const std::vector<ClosureRow> &Closure,
     W.key("ms_per_pass").valueFixed(Row.MillisPerPass, 3);
     W.key("banded_closure_bytes").value(Row.BandedBytes);
     W.key("replaced_matrix_bytes").value(Row.MatrixBytes);
+    W.endObject();
+  }
+  W.endArray();
+
+  W.key("scheduling").beginArray();
+  for (const ScheduleRow &Row : Scheduling) {
+    W.beginObject();
+    W.key("workload").value(Row.Workload);
+    W.key("instructions").value(Row.Instructions);
+    W.key("ms_per_schedule").valueFixed(Row.MillisPerSchedule, 3);
     W.endObject();
   }
   W.endArray();
@@ -394,19 +437,23 @@ int main(int argc, char **argv) {
 
   if (Smoke) {
     // The perf-smoke gate: one n=4096 compile under an active governor
-    // budget plus one closure-memory row. No artifact, no timing
-    // thresholds — this proves the huge path executes, not how fast — but
-    // degradation is a failure: the budget must admit the exact policy.
+    // budget plus one closure-memory and scheduling row. No artifact, no
+    // timing thresholds — this proves the huge path executes, not how
+    // fast — but degradation is a failure: the budget must admit the exact
+    // policy.
     PipelineRow Row = compileHuge(4096, /*Governed=*/true);
     if (!Row.Succeeded || Row.Degraded)
       return 1;
-    runClosureSweep({4096}, 1);
+    std::vector<ScheduleRow> Scheduling;
+    runClosureSweep({4096}, 1, Scheduling);
     return 0;
   }
 
   std::printf("Huge-DAG scaling study (deterministic huge-block family).\n\n");
+  std::vector<ScheduleRow> Scheduling;
   std::vector<ClosureRow> Closure =
-      runClosureSweep(hugeBlockSizes(), /*Iters=*/3);
+      runClosureSweep(hugeBlockSizes(), /*Iters=*/3, Scheduling);
+  Scheduling.push_back(runWideScheduling(2048, /*Iters=*/3));
   std::printf("\n");
   std::vector<ThroughputRow> Throughput =
       runThroughputGuard({512, 2048, 8192}, /*Iters=*/20);
@@ -418,7 +465,7 @@ int main(int argc, char **argv) {
       runWorkerScaling(/*BlocksCount=*/8, /*Size=*/2048, /*Repeats=*/7);
 
   ThreadPool Probe(0);
-  writeArtifact(Closure, Throughput, Pipeline, Scaling,
+  writeArtifact(Closure, Scheduling, Throughput, Pipeline, Scaling,
                 Probe.workerCount());
   return 0;
 }

@@ -116,7 +116,10 @@ std::string CompileRequest::toJson() const {
   return W.str();
 }
 
-ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json) {
+ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json,
+                                                 std::string *Id) {
+  if (Id)
+    Id->clear();
   ErrorOr<JsonValue> Doc = parseJson(Json);
   if (!Doc)
     return Doc.takeErrors();
@@ -178,6 +181,8 @@ ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json) {
                 "unknown request key '" + Key + "'");
     }
   }
+  if (Id)
+    *Id = Request.Id;
   if (!Diags.empty())
     return Diags;
   return Request;

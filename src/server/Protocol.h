@@ -64,7 +64,12 @@ struct CompileRequest {
   std::string MetricsFormat = "json"; ///< metrics op: "json"|"prometheus".
 
   std::string toJson() const;
-  static ErrorOr<CompileRequest> fromJson(std::string_view Json);
+  /// Parses one request. When \p Id is non-null it receives the request's
+  /// "id" whenever the document is an object carrying a string id, even
+  /// if other fields fail validation, so an error response can still be
+  /// correlated with the request; otherwise it is set empty.
+  static ErrorOr<CompileRequest> fromJson(std::string_view Json,
+                                          std::string *Id = nullptr);
 };
 
 /// One server response. Diagnostics travel structured (stable BS code,

@@ -15,11 +15,14 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <future>
 #include <optional>
 
+#include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 using namespace bsched;
 
@@ -48,6 +51,40 @@ const Diagnostic *findDumpworthyDiag(const CompileResponse &Response) {
         D.Code == DiagCode::EngineCellFault)
       return &D;
   return nullptr;
+}
+
+/// Prepares to close a connection whose peer may still be sending the
+/// rest of a frame the server will not read. Closing with that data unread
+/// would fail the peer's write (and an AF_UNIX peer may see a reset)
+/// before it reads the response already sent. So half-close the write
+/// side, which the peer reads as EOF after the response, then discard
+/// what the peer still sends until it closes, up to a byte and a time
+/// bound. stop()'s SHUT_RD ends the wait early.
+void lingerBeforeClose(int Fd) {
+  constexpr size_t MaxDiscardBytes = 64u << 20;
+  constexpr auto MaxWait = std::chrono::seconds(1);
+  ::shutdown(Fd, SHUT_WR);
+  const auto Deadline = std::chrono::steady_clock::now() + MaxWait;
+  char Buffer[4096];
+  size_t Discarded = 0;
+  while (Discarded < MaxDiscardBytes) {
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Deadline - std::chrono::steady_clock::now());
+    if (Left.count() <= 0)
+      return;
+    pollfd Poll{Fd, POLLIN, 0};
+    int Ready = ::poll(&Poll, 1, static_cast<int>(Left.count()));
+    if (Ready < 0 && errno == EINTR)
+      continue;
+    if (Ready <= 0)
+      return;
+    ssize_t N = ::read(Fd, Buffer, sizeof(Buffer));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return; // The peer closed (or the connection failed).
+    Discarded += static_cast<size_t>(N);
+  }
 }
 
 } // namespace
@@ -151,14 +188,16 @@ void BschedServer::serveConnection(FdHandle Conn) {
       if (Metrics)
         Metrics->counter("bsched.server.bad_frames").add();
       // An oversized frame is detected before its payload is read, so the
-      // peer is still listening: answer with the structured diagnostic,
-      // then close — the stream is out of sync by construction. A
-      // truncated frame means the peer already vanished; just close.
+      // peer is still listening (and maybe still writing): answer with the
+      // structured diagnostic, then linger-close — the stream is out of
+      // sync by construction. A truncated frame means the peer already
+      // vanished; just close.
       if (FrameError.Code == DiagCode::WireFrameTooLarge) {
         CompileResponse Error;
         Error.Ok = false;
         Error.Diags.push_back(std::move(FrameError));
-        (void)writeFrame(Conn.get(), Error.toJson());
+        if (writeFrame(Conn.get(), Error.toJson()).ok())
+          lingerBeforeClose(Conn.get());
       }
     }
     break; // Eof or Error.
@@ -301,34 +340,30 @@ std::string BschedServer::handleRequest(std::string_view Payload) {
   if (Config.SlowRequestMs > 0.0)
     RequestTrace.emplace();
 
-  ErrorOr<CompileRequest> Request = CompileRequest::fromJson(Payload);
-  if (Request && Request->Id.empty())
-    Request->Id = makeRequestId(); // Echoed below: every response carries
-                                   // a correlation id, client-supplied or
-                                   // server-generated.
-  if (!Request) {
-    // Even an unparseable request gets a correlation id: the error
-    // response, the log line, and any flight dump it triggers must still
-    // share a key the operator can grep for.
+  // Every response carries a correlation id: the client's when the
+  // request has a well-formed one (even if another field is invalid),
+  // else a generated one, so the error response, the log line and any
+  // flight dump it triggers share a key the operator can grep for.
+  ErrorOr<CompileRequest> Request =
+      CompileRequest::fromJson(Payload, &Response.Id);
+  if (Response.Id.empty())
     Response.Id = makeRequestId();
+  if (!Request) {
     Response.Diags = Request.takeErrors();
   } else if (Stopping.load()) {
-    Response.Id = Request->Id;
     Response.Diags.push_back({0, 0, "server is shutting down",
                               Severity::Error, DiagCode::ServerShutdown});
-  } else
+  } else {
+    Request->Id = Response.Id;
     switch (Request->Op) {
     case RequestOp::Ping:
-      Response.Id = Request->Id;
       Response.Ok = true;
       break;
     case RequestOp::Stats:
-      Response.Id = Request->Id;
       Response.Ok = true;
       Response.StatsJson = statsJson();
       break;
     case RequestOp::Metrics: {
-      Response.Id = Request->Id;
       Response.Ok = true;
       MetricSnapshot Snapshot = Metrics->snapshot();
       if (Request->MetricsFormat == "prometheus")
@@ -369,6 +404,7 @@ std::string BschedServer::handleRequest(std::string_view Payload) {
       break;
     }
     }
+  }
 
   const auto End = std::chrono::steady_clock::now();
   Response.WallMs =

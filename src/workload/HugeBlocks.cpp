@@ -152,3 +152,14 @@ Function bsched::buildHugeFunction(unsigned NumBlocks, unsigned Size,
     emitHugeBlock(F, F.block(BI), Size, Options, hugeSeed(Size, BI));
   return F;
 }
+
+Function bsched::buildWideLoadBlock(unsigned NumLoads) {
+  Function F("wide" + std::to_string(NumLoads));
+  BasicBlock &BB = F.addBlock("body", 1.0);
+  IrBuilder B(F, BB);
+  AliasClassId Array = F.getOrCreateAliasClass("w");
+  Reg Cursor = B.emitLoadImm(4096);
+  for (unsigned I = 0; I != NumLoads; ++I)
+    B.emitFLoad(Cursor, int64_t{8} * I, Array);
+  return F;
+}

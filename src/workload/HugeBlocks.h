@@ -48,6 +48,13 @@ Function buildHugeBlock(unsigned Size, const WorkloadOptions &Options = {});
 Function buildHugeFunction(unsigned NumBlocks, unsigned Size,
                            const WorkloadOptions &Options = {});
 
+/// Builds "wide<NumLoads>": one cursor and \p NumLoads independent loads
+/// off it at distinct offsets. Every load gets the same weight, register
+/// delta and exposure count, so the scheduler's ready frontier is one
+/// tie group of up to NumLoads nodes at every pick — the widest frontier
+/// a block of this size can present to ready-list selection.
+Function buildWideLoadBlock(unsigned NumLoads);
+
 } // namespace bsched
 
 #endif // BSCHED_WORKLOAD_HUGEBLOCKS_H

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/ScheduleCertifier.h"
 #include "dag/DagBuilder.h"
 #include "ir/Interpreter.h"
 #include "ir/IrBuilder.h"
@@ -561,37 +562,32 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, SchedulerPropertyTest,
                                            89));
 
 //===----------------------------------------------------------------------===
-// Ready-selection: heap vs. scan differential
+// Schedule certification across block shapes and issue widths
 //===----------------------------------------------------------------------===
 
 namespace {
 
-/// Both selection structures must emit the same schedule: the heap pops
-/// the whole static tie group and arbitrates with the full Beats relation,
-/// so it realizes exactly the scan's strict total order.
-void expectHeapMatchesScan(const DepDag &Dag) {
+/// Schedules \p Dag at issue widths 1, 2 and 4 and certifies each result
+/// against \p Input (isValidSchedule's assert compiles out under NDEBUG).
+void expectSchedulesCertify(const BasicBlock &Input, const DepDag &Dag) {
   for (unsigned Width : {1u, 2u, 4u}) {
-    SchedulerOptions Scan, Heap;
-    Scan.IssueWidth = Heap.IssueWidth = Width;
-    Scan.Selection = ReadySelection::Scan;
-    Heap.Selection = ReadySelection::Heap;
-    Schedule FromScan = scheduleDag(Dag, Scan);
-    Schedule FromHeap = scheduleDag(Dag, Heap);
-    ASSERT_EQ(FromScan.Order, FromHeap.Order)
-        << "order drift at issue width " << Width;
-    EXPECT_EQ(FromScan.IssueCycle, FromHeap.IssueCycle);
-    EXPECT_EQ(FromScan.NumVirtualNops, FromHeap.NumVirtualNops);
+    SchedulerOptions Options;
+    Options.IssueWidth = Width;
+    Schedule Sched = scheduleDag(Dag, Options);
+    std::vector<Diagnostic> Diags =
+        certifySchedule(Input, Dag, Sched, LatencyModel(), Options);
+    EXPECT_TRUE(Diags.empty())
+        << Diags.size() << " violation(s) at issue width " << Width
+        << ", first: " << Diags.front().Message;
   }
 }
 
 } // namespace
 
-TEST(SchedTest, HeapSelectionMatchesScan) {
-  // Pinned by ProtocolTest (the selection knob is key-neutral *because*
-  // the schedules are identical). Random blocks under every weighter,
-  // sized both below and above the Auto threshold; quantized traditional
-  // weights maximize priority ties, balanced weights exercise the
-  // fractional deferred keys.
+TEST(SchedTest, SchedulesCertifyOnRandomHugeAndWideBlocks) {
+  // Random blocks under both weighters, a quarter of them above 256
+  // instructions; quantized traditional weights maximize priority ties,
+  // balanced weights exercise fractional latency gaps.
   Rng R(0x5E1EC7);
   for (unsigned Trial = 0; Trial != 40; ++Trial) {
     unsigned N = 10 + static_cast<unsigned>(
@@ -603,25 +599,26 @@ TEST(SchedTest, HeapSelectionMatchesScan) {
         BalancedWeighter().assignWeights(Dag);
       else
         TraditionalWeighter(2.0).assignWeights(Dag);
-      expectHeapMatchesScan(Dag);
+      expectSchedulesCertify(BB, Dag);
       if (HasFailure())
         return;
     }
   }
-}
 
-TEST(SchedTest, HeapSelectionMatchesScanOnHugeBlock) {
-  // The size regime Auto actually routes to the heap: a builder-produced
-  // huge-family DAG with balanced weights.
-  Function F = buildHugeBlock(2048);
-  DepDag Dag = buildDag(F.block(0));
+  // A builder-produced huge-family block with balanced weights.
+  Function Huge = buildHugeBlock(2048);
+  DepDag HugeDag = buildDag(Huge.block(0));
   BalancedWeighter(LatencyModel(), ChancesMethod::UnionFindLevels)
-      .assignWeights(Dag);
-  expectHeapMatchesScan(Dag);
-  // And Auto at this size must agree with both explicit modes.
-  SchedulerOptions Auto;
-  Schedule FromAuto = scheduleDag(Dag, Auto);
-  SchedulerOptions Scan;
-  Scan.Selection = ReadySelection::Scan;
-  EXPECT_EQ(FromAuto.Order, scheduleDag(Dag, Scan).Order);
+      .assignWeights(HugeDag);
+  expectSchedulesCertify(Huge.block(0), HugeDag);
+
+  // 2048 independent loads: every pick faces one tie group as wide as
+  // the remaining frontier, resolved down to the index tie-break.
+  Function Wide = buildWideLoadBlock(2048);
+  DepDag WideDag = buildDag(Wide.block(0));
+  BalancedWeighter().assignWeights(WideDag);
+  expectSchedulesCertify(Wide.block(0), WideDag);
+  // Ties preserve program order: the loads keep their input order.
+  Schedule Sched = scheduleDag(WideDag);
+  EXPECT_TRUE(std::is_sorted(Sched.Order.begin(), Sched.Order.end()));
 }

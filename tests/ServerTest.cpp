@@ -513,9 +513,9 @@ TEST_F(SocketServerTest, OversizedFrameAnsweredWithBS905) {
   ASSERT_FALSE(Response->Diags.empty());
   EXPECT_EQ(Response->Diags.front().Code, DiagCode::WireFrameTooLarge);
 
-  // The connection closes after the error (stream out of sync). The
-  // server never read the oversized payload, so the close may surface as
-  // a reset (Error) instead of a clean EOF — either way, no more frames.
+  // The connection closes after the error (stream out of sync): the
+  // server half-closes, discards the payload it never parsed, then
+  // closes — either way, no more frames.
   EXPECT_NE(readFrame(Conn->get(), Payload, DefaultMaxFrameBytes, nullptr),
             FrameStatus::Frame);
   // ... but the daemon is fine: a new connection compiles normally.
@@ -704,6 +704,27 @@ TEST(ServerTelemetryTest, GeneratesRequestIdWhenClientOmitsIt) {
   ASSERT_TRUE(Bad.has_value());
   EXPECT_FALSE(Bad->Ok);
   EXPECT_EQ(Bad->Id.rfind("srv-", 0), 0u) << Bad->Id;
+}
+
+TEST(ServerTelemetryTest, InvalidRequestEchoesWellFormedId) {
+  BschedServer Server({});
+  // A string id is echoed even when another field fails validation.
+  ErrorOr<CompileResponse> Bad = CompileResponse::fromJson(
+      Server.handleRequest(R"({"schema_version":1,"id":"bad2","kernel":"x",)"
+                           R"("config":{"closure":7}})"));
+  ASSERT_TRUE(Bad.has_value()) << Bad.errorText();
+  EXPECT_FALSE(Bad->Ok);
+  EXPECT_EQ(Bad->Id, "bad2");
+  ASSERT_FALSE(Bad->Diags.empty());
+  EXPECT_EQ(Bad->Diags.front().Code, DiagCode::ProtocolBadValue);
+
+  // A malformed id is itself an error, and the response gets a
+  // generated one.
+  ErrorOr<CompileResponse> BadId = CompileResponse::fromJson(
+      Server.handleRequest(R"({"schema_version":1,"id":7,"op":"ping"})"));
+  ASSERT_TRUE(BadId.has_value());
+  EXPECT_FALSE(BadId->Ok);
+  EXPECT_EQ(BadId->Id.rfind("srv-", 0), 0u) << BadId->Id;
 }
 
 TEST(ServerTelemetryTest, MetricsOpReturnsJsonAndPrometheus) {
